@@ -285,6 +285,22 @@ impl QuerySlot {
     fn live(&self) -> Option<&QueryState> {
         self.state.as_ref()
     }
+
+    /// The state of a slot listed in one of the engine's slot-index lists,
+    /// which only ever name live slots.
+    fn live_mut(&mut self) -> &mut QueryState {
+        self.state
+            .as_mut()
+            .expect("slot-index lists only name live slots")
+    }
+
+    /// The sharded matcher of a slot listed in `sharded_slots`.
+    fn sharded_mut(&mut self) -> &mut ShardedMatcher {
+        match &mut self.live_mut().exec {
+            QueryExec::Sharded(sharded) => sharded,
+            _ => unreachable!("sharded_slots only names sharded queries"),
+        }
+    }
 }
 
 /// The SJ-Tree leaves of `shape` not lying under any covered node: the
@@ -404,7 +420,10 @@ pub struct ContinuousQueryEngine {
     config: EngineConfig,
     graph: DynamicGraph,
     summary: GraphSummary,
-    /// Query slots, indexed by `QueryId`.
+    /// Query slots, indexed by `QueryId`. Apart from the `prune_every`
+    /// cadence sweep, the per-event and end-of-call paths never walk this
+    /// table; they walk the slot-index lists below, so their cost follows
+    /// the queries that need the work, not the number registered.
     queries: Vec<QuerySlot>,
     /// Indices of vacant slots, re-occupied (under a fresh generation) before
     /// the slot vector grows.
@@ -432,6 +451,20 @@ pub struct ContinuousQueryEngine {
     /// Live, unpaused queries *not* covered by the shared index — dispatched
     /// classically even while `sharing_active`.
     classic_dispatch: Vec<u32>,
+    /// Slot indices of live queries whose exec is `Sharded`, paused ones
+    /// included (their shards still report failures and sync on a prune),
+    /// in ascending slot order — the fan-in flush's tie order. The end of
+    /// every `ingest` call (fan-in flush, failure surfacing, trailing prune
+    /// sync) walks this list instead of the slot table, so that bookkeeping
+    /// costs O(sharded queries), not O(registered queries). Rebuilt with the
+    /// dispatch tables. The `prune_every` cadence sweep still walks every
+    /// slot: it prunes every matcher, and runs once per `prune_every` events.
+    sharded_slots: Vec<u32>,
+    /// Slot indices of live queries with at least one durable subscription,
+    /// paused ones included (their outboxes keep draining), in ascending
+    /// slot order — the delivery drain order. Rebuilt with the dispatch
+    /// tables and kept in step wherever a query's durables change.
+    durable_slots: Vec<u32>,
     /// Reusable buffer of the current event's leaf-level fan-out work.
     delivery_scratch: Vec<Delivery>,
     /// Reusable buffer of the current event's subtree-level fan-out work.
@@ -499,6 +532,8 @@ impl ContinuousQueryEngine {
             subtree: SharedSubtreeIndex::new(config.lifted_sharing, config.max_matches_per_node),
             sharing_active: false,
             classic_dispatch: Vec::new(),
+            sharded_slots: Vec::new(),
+            durable_slots: Vec::new(),
             delivery_scratch: Vec::new(),
             subtree_scratch: Vec::new(),
             next_subscription: 0,
@@ -642,6 +677,7 @@ impl ContinuousQueryEngine {
             Err(_) => {}
         }
         self.state_mut(handle)?.durables.push(sub);
+        self.sync_durable_slot(handle.id().0 as u32);
         Ok(())
     }
 
@@ -1323,6 +1359,7 @@ impl ContinuousQueryEngine {
             .durables
             .push(DurableSub::new(token, spec, capacity, overflow));
         self.next_subscription += 1;
+        self.sync_durable_slot(handle.id().0 as u32);
         Ok(SubscriptionId {
             query: handle.id(),
             token,
@@ -1358,12 +1395,10 @@ impl ContinuousQueryEngine {
         let start = self.telemetry.as_ref().map(|h| h.core.now_ns());
         let policy = self.config.retry_policy;
         let mut lag = 0;
-        for slot in &mut self.queries {
-            if let Some(state) = slot.state.as_mut() {
-                for durable in &mut state.durables {
-                    durable.drain(&policy, true);
-                    lag += durable.lag();
-                }
+        for &idx in &self.durable_slots {
+            for durable in &mut self.queries[idx as usize].live_mut().durables {
+                durable.drain(&policy, true);
+                lag += durable.lag();
             }
         }
         if let (Some(h), Some(start)) = (&self.telemetry, start) {
@@ -1378,11 +1413,9 @@ impl ContinuousQueryEngine {
     /// accepts.
     fn drain_deliveries(&mut self) {
         let policy = self.config.retry_policy;
-        for slot in &mut self.queries {
-            if let Some(state) = slot.state.as_mut() {
-                for durable in &mut state.durables {
-                    durable.drain(&policy, false);
-                }
+        for &idx in &self.durable_slots {
+            for durable in &mut self.queries[idx as usize].live_mut().durables {
+                durable.drain(&policy, false);
             }
         }
     }
@@ -1403,6 +1436,7 @@ impl ContinuousQueryEngine {
         if state.subscribers.len() + state.durables.len() == before {
             return Err(EngineError::UnknownSubscription(sub));
         }
+        self.sync_durable_slot(sub.query.0 as u32);
         Ok(())
     }
 
@@ -1479,13 +1513,22 @@ impl ContinuousQueryEngine {
     fn rebuild_dispatch(&mut self) {
         self.dispatch.clear();
         self.classic_dispatch.clear();
+        self.sharded_slots.clear();
+        self.durable_slots.clear();
         for (i, slot) in self.queries.iter().enumerate() {
             if let Some(state) = &slot.state {
+                let i = i as u32;
                 if !state.paused {
-                    self.dispatch.push(i as u32);
+                    self.dispatch.push(i);
                     if !state.shared {
-                        self.classic_dispatch.push(i as u32);
+                        self.classic_dispatch.push(i);
                     }
+                }
+                if matches!(state.exec, QueryExec::Sharded(_)) {
+                    self.sharded_slots.push(i);
+                }
+                if !state.durables.is_empty() {
+                    self.durable_slots.push(i);
                 }
             }
         }
@@ -1497,6 +1540,21 @@ impl ContinuousQueryEngine {
         // the entry must be fed for as long as the subscription exists.
         self.sharing_active = self.config.shared_matching
             && (self.shared.sharing_possible() || self.subtree.has_entries());
+    }
+
+    /// Brings `durable_slots` in step with one slot after its durable
+    /// subscriptions changed, keeping the list in ascending slot order.
+    fn sync_durable_slot(&mut self, slot: u32) {
+        let has_durables = self.queries[slot as usize]
+            .live()
+            .is_some_and(|state| !state.durables.is_empty());
+        match (self.durable_slots.binary_search(&slot), has_durables) {
+            (Err(pos), true) => self.durable_slots.insert(pos, slot),
+            (Ok(pos), false) => {
+                self.durable_slots.remove(pos);
+            }
+            _ => {}
+        }
     }
 
     /// Errors with [`EngineError::Poisoned`] once an uncontained shard
@@ -1649,12 +1707,8 @@ impl ContinuousQueryEngine {
     /// under-report matches.
     fn surface_shard_failures(&mut self) -> Result<(), EngineError> {
         let mut failures: Vec<ShardFailure> = Vec::new();
-        for slot in &mut self.queries {
-            if let Some(state) = &mut slot.state {
-                if let QueryExec::Sharded(sharded) = &mut state.exec {
-                    failures.append(&mut sharded.take_failures());
-                }
-            }
+        for &idx in &self.sharded_slots {
+            failures.append(&mut self.queries[idx as usize].sharded_mut().take_failures());
         }
         let Some(first) = failures.into_iter().next() else {
             return Ok(());
@@ -1678,14 +1732,9 @@ impl ContinuousQueryEngine {
     /// queries emit inline and are untouched.
     fn flush_sharded(&mut self, sink: &mut dyn EventSink) -> usize {
         let mut completed: Vec<(u64, usize, PartialMatch)> = Vec::new();
-        for (idx, slot) in self.queries.iter_mut().enumerate() {
-            let Some(state) = slot.state.as_mut() else {
-                continue;
-            };
-            let QueryExec::Sharded(sharded) = &mut state.exec else {
-                continue;
-            };
-            for (seq, m) in sharded.take_completed() {
+        for &idx in &self.sharded_slots {
+            let idx = idx as usize;
+            for (seq, m) in self.queries[idx].sharded_mut().take_completed() {
                 completed.push((seq, idx, m));
             }
         }
@@ -2092,12 +2141,8 @@ impl ContinuousQueryEngine {
     /// preserve pipelining.
     pub fn prune_now(&mut self) {
         self.prune_async();
-        for slot in &mut self.queries {
-            if let Some(state) = &mut slot.state {
-                if let QueryExec::Sharded(sharded) = &mut state.exec {
-                    sharded.sync();
-                }
-            }
+        for &idx in &self.sharded_slots {
+            self.queries[idx as usize].sharded_mut().sync();
         }
     }
 
@@ -2557,5 +2602,148 @@ mod tests {
         engine.ingest(&events).unwrap();
         assert_eq!(engine.metrics(q_kw).unwrap().sink_events_dropped, 2);
         assert_eq!(engine.metrics(q_loc).unwrap().sink_events_dropped, 0);
+    }
+
+    /// The end-of-call slot-index lists as a full slot-table walk computes
+    /// them: live sharded slots, and live slots holding a durable
+    /// subscription, both in ascending slot order.
+    fn assert_slot_lists_fresh(engine: &ContinuousQueryEngine, step: &str) {
+        let mut sharded = Vec::new();
+        let mut durable = Vec::new();
+        for (i, slot) in engine.queries.iter().enumerate() {
+            if let Some(state) = &slot.state {
+                if matches!(state.exec, QueryExec::Sharded(_)) {
+                    sharded.push(i as u32);
+                }
+                if !state.durables.is_empty() {
+                    durable.push(i as u32);
+                }
+            }
+        }
+        assert_eq!(engine.sharded_slots, sharded, "sharded_slots after {step}");
+        assert_eq!(engine.durable_slots, durable, "durable_slots after {step}");
+    }
+
+    #[test]
+    fn slot_index_lists_track_the_slot_table_through_lifecycle_churn() {
+        use crate::delivery::{
+            clear_endpoint, register_endpoint, reset_memory_sink, RetryPolicy, SinkSpec, Transport,
+        };
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        struct Recorder(Arc<AtomicU64>);
+        impl Transport for Recorder {
+            fn send(&mut self, _line: &str, _timeout: std::time::Duration) -> Result<(), String> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+        }
+
+        for shards in [1usize, 2] {
+            let address = format!("engine_slot_lists_endpoint_{shards}");
+            let key = format!("engine_slot_lists_memory_{shards}");
+            clear_endpoint(&address);
+            reset_memory_sink(&key);
+            let endpoint = || SinkSpec::Endpoint {
+                address: address.clone(),
+            };
+            let memory = || SinkSpec::Memory { key: key.clone() };
+            // No backoff and a generous budget: while the endpoint is
+            // unregistered its matches wait in the outbox, and every
+            // end-of-call drain retries them.
+            let mut engine = ContinuousQueryEngine::builder()
+                .shards(shards)
+                .retry_policy(RetryPolicy {
+                    max_attempts: 1_000,
+                    backoff_base_ms: 0,
+                    backoff_cap_ms: 0,
+                    attempt_timeout_ms: 10,
+                })
+                .build()
+                .unwrap();
+            let check = |e: &ContinuousQueryEngine, step: &str| {
+                assert_slot_lists_fresh(e, &format!("{step} (shards {shards})"));
+            };
+            let colocated = "QUERY colocated WINDOW 1h MATCH (a1:Article)-[:located]->(l:Location), (a2:Article)-[:located]->(l)";
+
+            let kw = engine
+                .register_query(common_keyword_query(Duration::from_hours(1)))
+                .unwrap();
+            check(&engine, "register");
+            let loc = engine.register_dsl(colocated).unwrap();
+            check(&engine, "second register");
+            let rpq = engine
+                .register_rpq_dsl("RPQ reach WINDOW 1h PATH mentions located")
+                .unwrap();
+            check(&engine, "RPQ register");
+
+            engine.subscribe_durable(kw, endpoint()).unwrap();
+            check(&engine, "subscribe_durable on a running query");
+            engine.pause(loc).unwrap();
+            check(&engine, "pause");
+            let loc_sub = engine.subscribe_durable(loc, memory()).unwrap();
+            check(&engine, "subscribe_durable on a paused query");
+            engine.unsubscribe(loc_sub).unwrap();
+            check(&engine, "unsubscribe on a paused query");
+            engine.subscribe_durable(loc, memory()).unwrap();
+            let rpq_sub = engine.subscribe_durable(rpq, memory()).unwrap();
+            check(&engine, "subscribe_durable on an RPQ");
+            engine.unsubscribe(rpq_sub).unwrap();
+            check(&engine, "unsubscribe on a running query");
+            engine.resume(loc).unwrap();
+            check(&engine, "resume");
+            engine
+                .replan(kw, &SelectivityOrdered::default(), TreeShapeKind::Balanced)
+                .unwrap();
+            check(&engine, "replan");
+            engine.deregister(rpq).unwrap();
+            check(&engine, "deregister");
+            let reused = engine
+                .register_query(common_keyword_query(Duration::from_mins(30)))
+                .unwrap();
+            assert_eq!(reused.id(), rpq.id(), "the freed slot is re-occupied");
+            check(&engine, "register into a freed slot");
+            engine.subscribe_durable(reused, endpoint()).unwrap();
+            engine.deregister(reused).unwrap();
+            check(&engine, "deregister with a durable subscription");
+
+            // The endpoint is down: the keyword query's matches stay in its
+            // outbox. Pausing the query must not strand them — the next
+            // call's end-of-call drain delivers them all.
+            engine
+                .ingest(&[
+                    ev("a1", "Article", "k1", "Keyword", "mentions", 1),
+                    ev("a2", "Article", "k1", "Keyword", "mentions", 2),
+                ])
+                .unwrap();
+            let pending = engine.metrics(kw).unwrap().cursor_lag;
+            assert!(pending > 0, "matches wait for the unreachable endpoint");
+            engine.pause(kw).unwrap();
+            check(&engine, "pause with a pending outbox");
+            let delivered = Arc::new(AtomicU64::new(0));
+            let counter = Arc::clone(&delivered);
+            register_endpoint(address.clone(), move |_| {
+                Ok(Box::new(Recorder(Arc::clone(&counter))) as Box<dyn Transport>)
+            });
+            engine
+                .ingest(&ev("p1", "Person", "p2", "Person", "knows", 3))
+                .unwrap();
+            assert_eq!(engine.metrics(kw).unwrap().cursor_lag, 0);
+            assert_eq!(delivered.load(Ordering::SeqCst), pending);
+
+            // Checkpoint restore re-attaches the durable cursors.
+            let mut restored = engine.checkpoint().try_restore().unwrap();
+            check(&restored, "checkpoint restore");
+            let kw = restored.handles()[0];
+            assert_eq!(restored.durable_subscriptions(kw).unwrap().len(), 1);
+            restored.resume(kw).unwrap();
+            check(&restored, "resume after restore");
+            let sub = restored.durable_subscriptions(kw).unwrap()[0];
+            restored.unsubscribe(sub).unwrap();
+            check(&restored, "unsubscribe after restore");
+
+            clear_endpoint(&address);
+            reset_memory_sink(&key);
+        }
     }
 }

@@ -5,17 +5,38 @@
 //! capacity) and binding merges perform no heap allocation for paper-sized
 //! queries. Uses a counting global allocator, so this test lives in its own
 //! integration-test binary.
+//!
+//! The harness runs the tests on parallel threads, so the allocator counts
+//! per thread: a test arms its own thread around the measured region and
+//! sees exactly the allocations that region made, never another test's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread's allocations are being counted.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocations this thread made while armed.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+impl CountingAllocator {
+    fn count(&self) {
+        // `try_with`: the allocator also serves threads whose locals are
+        // already torn down; those are never armed.
+        let _ = ARMED.try_with(|armed| {
+            if armed.get() {
+                ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.alloc(layout)
     }
 
@@ -24,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        self.count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -32,8 +53,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+/// Runs `f` with the calling thread armed, returning its result and the
+/// number of allocations (and reallocations) it made on this thread.
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let result = f();
+    ARMED.with(|armed| armed.set(false));
+    (result, ALLOCATIONS.with(Cell::get))
 }
 
 use streamworks::engine::{JoinSide, PartialMatch, SharedJoinStore};
@@ -96,18 +123,19 @@ fn probe_then_insert_is_allocation_free_once_warm() {
     // Steady state: key projection + single-hash-op probe + contiguous
     // sibling scan + candidate merge + push into the sides' spare capacity
     // must not touch the allocator.
-    let before = allocations();
-    let mut hits = 0usize;
-    for i in 0..16u32 {
-        hits += file(
-            &mut store,
-            JoinSide::Right,
-            pair_match(i, 100 + i, 500 + i as u64, 10 + i as i64),
-        );
-    }
+    let (hits, allocated) = allocations_during(|| {
+        let mut hits = 0usize;
+        for i in 0..16u32 {
+            hits += file(
+                &mut store,
+                JoinSide::Right,
+                pair_match(i, 100 + i, 500 + i as u64, 10 + i as i64),
+            );
+        }
+        hits
+    });
     assert_eq!(
-        allocations(),
-        before,
+        allocated, 0,
         "SharedJoinStore::probe_then_insert allocated on the warm probe path"
     );
     assert_eq!(hits, 64, "every probe scans its key's 4 left candidates");
@@ -135,11 +163,10 @@ fn exact_expiry_is_allocation_free() {
             pair_match(i, 200 + i, i as u64, 2_000_000 + i as i64),
         );
     }
-    let before = allocations();
-    let removed = store.expire_older_than(Timestamp::from_secs(2_000_064));
+    let (removed, allocated) =
+        allocations_during(|| store.expire_older_than(Timestamp::from_secs(2_000_064)));
     assert_eq!(
-        allocations(),
-        before,
+        allocated, 0,
         "SharedJoinStore::expire_older_than allocated during the sweep"
     );
     assert_eq!(removed, 64, "the min-heap sweep is exact");
@@ -156,19 +183,19 @@ fn binding_merge_is_allocation_free_for_inline_queries() {
     // Warm up (lazily initialised runtime bits must not pollute the count).
     assert!(left.binding.merge(&right.binding).is_some());
 
-    let before = allocations();
-    for _ in 0..1_000 {
-        let merged = left
-            .binding
-            .merge(&right.binding)
-            .expect("compatible bindings");
-        assert_eq!(merged.bound_count(), 3);
-        let full = left.merge(&right).expect("compatible matches");
-        assert_eq!(full.edge_count(), 2);
-    }
+    let ((), allocated) = allocations_during(|| {
+        for _ in 0..1_000 {
+            let merged = left
+                .binding
+                .merge(&right.binding)
+                .expect("compatible bindings");
+            assert_eq!(merged.bound_count(), 3);
+            let full = left.merge(&right).expect("compatible matches");
+            assert_eq!(full.edge_count(), 2);
+        }
+    });
     assert_eq!(
-        allocations(),
-        before,
+        allocated, 0,
         "Binding/PartialMatch merge allocated for an inline-sized query"
     );
 }
@@ -176,14 +203,14 @@ fn binding_merge_is_allocation_free_for_inline_queries() {
 #[test]
 fn partial_match_clone_is_allocation_free_for_inline_queries() {
     let m = pair_match(1, 101, 0, 10);
-    let before = allocations();
-    for _ in 0..1_000 {
-        let c = m.clone();
-        assert_eq!(c.edge_count(), 1);
-    }
+    let ((), allocated) = allocations_during(|| {
+        for _ in 0..1_000 {
+            let c = m.clone();
+            assert_eq!(c.edge_count(), 1);
+        }
+    });
     assert_eq!(
-        allocations(),
-        before,
+        allocated, 0,
         "PartialMatch::clone allocated for an inline-sized query"
     );
 }
