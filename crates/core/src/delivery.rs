@@ -235,20 +235,36 @@ pub(crate) enum ConnectError {
 
 /// A live connection materialised from a [`SinkSpec`].
 pub(crate) trait DeliveryTarget: Send {
-    /// Delivers one rendered match line; `Err` carries a failure
-    /// description and the line is considered not acknowledged.
-    fn deliver(&mut self, line: &str, timeout: Duration) -> Result<(), String>;
+    /// Delivers a run of rendered match lines, in order, as one attempt.
+    /// `Ok` acknowledges the whole run; `Err` carries a failure description
+    /// and acknowledges none of it (an owned destination may hold part of
+    /// the run, which the reconnect truncates away).
+    fn deliver_run(&mut self, run: &[String], timeout: Duration) -> Result<(), String>;
+
+    /// Delivers a single line as a run of one.
+    #[cfg(test)]
+    fn deliver(&mut self, line: &str, timeout: Duration) -> Result<(), String> {
+        self.deliver_run(&[line.to_owned()], timeout)
+    }
 }
 
 struct LogFileTarget {
     file: std::fs::File,
+    /// The run being written, kept between runs so its capacity is reused.
+    buffer: Vec<u8>,
 }
 
 impl DeliveryTarget for LogFileTarget {
-    fn deliver(&mut self, line: &str, _timeout: Duration) -> Result<(), String> {
+    fn deliver_run(&mut self, run: &[String], _timeout: Duration) -> Result<(), String> {
         use std::io::Write;
-        writeln!(self.file, "{line}").map_err(|e| format!("write failed: {e}"))?;
-        self.file.flush().map_err(|e| format!("flush failed: {e}"))
+        self.buffer.clear();
+        for line in run {
+            self.buffer.extend_from_slice(line.as_bytes());
+            self.buffer.push(b'\n');
+        }
+        self.file
+            .write_all(&self.buffer)
+            .map_err(|e| format!("write failed: {e}"))
     }
 }
 
@@ -257,11 +273,11 @@ struct MemoryTarget {
 }
 
 impl DeliveryTarget for MemoryTarget {
-    fn deliver(&mut self, line: &str, _timeout: Duration) -> Result<(), String> {
+    fn deliver_run(&mut self, run: &[String], _timeout: Duration) -> Result<(), String> {
         self.buffer
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(line.to_owned());
+            .extend_from_slice(run);
         Ok(())
     }
 }
@@ -271,21 +287,26 @@ struct EndpointTarget {
 }
 
 impl DeliveryTarget for EndpointTarget {
-    fn deliver(&mut self, line: &str, timeout: Duration) -> Result<(), String> {
-        self.transport.send(line, timeout)
+    fn deliver_run(&mut self, run: &[String], timeout: Duration) -> Result<(), String> {
+        run.iter()
+            .try_for_each(|line| self.transport.send(line, timeout))
     }
 }
 
 struct DiscardTarget;
 
 impl DeliveryTarget for DiscardTarget {
-    fn deliver(&mut self, _line: &str, _timeout: Duration) -> Result<(), String> {
+    fn deliver_run(&mut self, _run: &[String], _timeout: Duration) -> Result<(), String> {
         Ok(())
     }
 }
 
+/// Bytes read per step while scanning a delivery log for its acknowledged
+/// prefix on (re)connect.
+const LOG_SCAN_CHUNK: usize = 64 * 1024;
+
 fn connect_log_file(path: &str, cursor: u64) -> Result<Box<dyn DeliveryTarget>, ConnectError> {
-    use std::io::{Read, Seek, SeekFrom};
+    use std::io::{ErrorKind, Read, Seek, SeekFrom};
     let transient = |e: std::io::Error| ConnectError::Transient(format!("{path}: {e}"));
     let mut file = std::fs::OpenOptions::new()
         .read(true)
@@ -294,35 +315,48 @@ fn connect_log_file(path: &str, cursor: u64) -> Result<Box<dyn DeliveryTarget>, 
         .truncate(false)
         .open(path)
         .map_err(transient)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes).map_err(transient)?;
     // Scan the acknowledged prefix: `cursor` complete ('\n'-terminated)
-    // lines. Anything past it — unacknowledged racing writes, a partial
-    // line from a crash mid-write — is truncated away and redelivered.
+    // lines, read through one fixed-size chunk so a reconnect never holds
+    // the whole log. Anything past the prefix — unacknowledged racing
+    // writes, a partial line from a crash mid-write — is truncated away and
+    // redelivered.
+    let mut chunk = vec![0u8; LOG_SCAN_CHUNK];
     let mut lines = 0u64;
-    let mut offset = 0usize;
-    for (i, b) in bytes.iter().enumerate() {
-        if lines == cursor {
-            break;
+    let mut offset = 0u64;
+    let mut scanned = 0u64;
+    while lines < cursor {
+        let read = match file.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(read) => read,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(transient(e)),
+        };
+        for (i, &b) in chunk[..read].iter().enumerate() {
+            if b == b'\n' {
+                lines += 1;
+                offset = scanned + i as u64 + 1;
+                if lines == cursor {
+                    break;
+                }
+            }
         }
-        if *b == b'\n' {
-            lines += 1;
-            offset = i + 1;
-        }
+        scanned += read as u64;
     }
     if lines < cursor {
         return Err(ConnectError::Corrupt {
-            offset,
+            offset: offset as usize,
             detail: format!(
                 "delivery log {path} holds {lines} acknowledged lines where the cursor expects \
                  {cursor}"
             ),
         });
     }
-    file.set_len(offset as u64).map_err(transient)?;
-    file.seek(SeekFrom::Start(offset as u64))
-        .map_err(transient)?;
-    Ok(Box::new(LogFileTarget { file }))
+    file.set_len(offset).map_err(transient)?;
+    file.seek(SeekFrom::Start(offset)).map_err(transient)?;
+    Ok(Box::new(LogFileTarget {
+        file,
+        buffer: Vec::new(),
+    }))
 }
 
 fn connect_memory(key: &str, cursor: u64) -> Result<Box<dyn DeliveryTarget>, ConnectError> {
@@ -372,6 +406,15 @@ impl SinkSpec {
             SinkSpec::Endpoint { address } => format!("endpoint:{address}"),
             SinkSpec::Discard => "discard".to_string(),
         }
+    }
+
+    /// Whether a drain hands this destination its whole pending outbox in
+    /// one attempt. Every kind but endpoints does: the reconnect truncates
+    /// a failed run away from an owned destination, so nothing is
+    /// duplicated. Endpoints take one line per attempt, which bounds what a
+    /// lost acknowledgement re-sends to that line.
+    fn takes_runs(&self) -> bool {
+        !matches!(self, SinkSpec::Endpoint { .. })
     }
 
     /// Materialises the destination, resuming after `cursor` acknowledged
@@ -457,10 +500,11 @@ pub(crate) struct DurableSub {
     /// When the subscription was quarantined (drives the automatic
     /// probation probe).
     quarantined_at: Option<Instant>,
-    /// Delivery attempts performed (every try counts, including retries
-    /// and probes).
+    /// Match lines offered to the destination: an attempt with a run of n
+    /// lines adds n, failed attempts included; a health probe with nothing
+    /// pending adds one.
     pub(crate) attempts: u64,
-    /// Attempts that were retries or probation probes (performed while not
+    /// The share of `attempts` made while retrying or probing (not
     /// `Active`).
     pub(crate) retries: u64,
     /// Promotions back to `Active` after a degraded or quarantined spell.
@@ -603,11 +647,14 @@ impl DurableSub {
         }
     }
 
-    /// Drains the outbox: delivers pending entries in order, advancing the
-    /// cursor per acknowledgement. On a failure the head entry stays put,
-    /// the retry state machine advances, and the drain stops — one attempt
-    /// per drain while unhealthy. `force` ignores the backoff/probation
-    /// gates (used by explicit flushes).
+    /// Drains the outbox: delivers pending entries in order, in runs — the
+    /// whole outbox per attempt for destinations that [take
+    /// runs](SinkSpec::takes_runs), one line per attempt for endpoints. The
+    /// cursor advances by a run's length once the whole run is
+    /// acknowledged. On a failure the run stays put, the retry state
+    /// machine advances, and the drain stops — one attempt per drain while
+    /// unhealthy. `force` ignores the backoff/probation gates (used by
+    /// explicit flushes).
     pub(crate) fn drain(&mut self, policy: &RetryPolicy, force: bool) {
         loop {
             let probing = match &self.status {
@@ -655,9 +702,14 @@ impl DurableSub {
                 return;
             }
             let retrying = probing || !matches!(self.status, DeliveryStatus::Active);
-            self.attempts += 1;
+            let run = if self.spec.takes_runs() {
+                self.outbox.len()
+            } else {
+                1
+            };
+            self.attempts += run as u64;
             if retrying {
-                self.retries += 1;
+                self.retries += run as u64;
             }
             let injected = crate::failpoint::fire_at("delivery-retry", self.token as usize);
             let outcome: Result<(), String> = if injected {
@@ -667,8 +719,8 @@ impl DurableSub {
                     Err(message) => Err(message),
                     Ok(()) => {
                         let target = self.target.as_mut().expect("target just ensured");
-                        let line = self.outbox.front().expect("outbox is non-empty");
-                        target.deliver(line, policy.attempt_timeout())
+                        let pending = self.outbox.make_contiguous();
+                        target.deliver_run(&pending[..run], policy.attempt_timeout())
                     }
                 }
             };
@@ -677,8 +729,10 @@ impl DurableSub {
                     // Crash site between delivery and acknowledgement: a
                     // `Panic` here models the delivered-but-unacked crash
                     // (the reconnect truncation repairs it); an `Error` is
-                    // treated as a failed attempt and the entry is
-                    // redelivered (at-least-once for that entry).
+                    // treated as a failed attempt and the run is
+                    // redelivered (exactly-once for owned destinations,
+                    // whose reconnect truncates it; at-least-once for the
+                    // endpoint's single line).
                     if crate::failpoint::fire_at("delivery-ack", self.token as usize) {
                         self.record_failure(
                             "injected delivery-ack failure".to_owned(),
@@ -687,8 +741,8 @@ impl DurableSub {
                         );
                         return;
                     }
-                    self.outbox.pop_front();
-                    self.cursor += 1;
+                    self.outbox.drain(..run);
+                    self.cursor += run as u64;
                     if retrying {
                         self.recoveries += 1;
                     }
@@ -787,6 +841,36 @@ mod tests {
                 assert_eq!(offset, 8);
                 assert!(detail.contains("2 acknowledged lines"));
                 assert!(detail.contains("expects 5"));
+            }
+            _ => panic!("expected a corrupt delivery log"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn log_file_prefix_scan_crosses_chunk_boundaries() {
+        let path = scratch("chunked");
+        // Lines of varying width, several scan chunks long.
+        let lines: Vec<String> = (0..30_000).map(|i| format!("match-{i}")).collect();
+        let mut text = lines.join("\n");
+        text.push('\n');
+        assert!(text.len() > 3 * LOG_SCAN_CHUNK);
+        std::fs::write(&path, &text).unwrap();
+        let spec = SinkSpec::LogFile { path: path.clone() };
+        let mut target = spec.connect(20_000).ok().unwrap();
+        let prefix: usize = lines[..20_000].iter().map(|l| l.len() + 1).sum();
+        assert_eq!(std::fs::read(&path).unwrap(), text.as_bytes()[..prefix]);
+        target
+            .deliver_run(&lines[20_000..20_002], Duration::from_millis(10))
+            .unwrap();
+        drop(target);
+        let after = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(after.lines().count(), 20_002);
+        assert!(after.ends_with("match-20000\nmatch-20001\n"));
+        match spec.connect(25_000) {
+            Err(ConnectError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, after.len());
+                assert!(detail.contains("20002 acknowledged lines"));
             }
             _ => panic!("expected a corrupt delivery log"),
         }

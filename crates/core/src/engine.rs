@@ -406,11 +406,12 @@ fn deliver_event(
             sub.error = Some(message);
         }
     }
-    if !durables.is_empty() {
+    if let Some((last, rest)) = durables.split_last_mut() {
         let line = event.render();
-        for durable in durables.iter_mut() {
+        for durable in rest {
             durable.enqueue(line.clone(), policy);
         }
+        last.enqueue(line, policy);
     }
     sink.on_match(event);
 }

@@ -139,19 +139,34 @@ impl MatchEvent {
     }
 
     /// Compact single-line rendering, e.g. for the tabular event views.
+    ///
+    /// Written into one buffer sized up front: durable delivery renders
+    /// every routed match, so this sits on the ingest path.
     pub fn render(&self) -> String {
-        let vars: Vec<String> = self
+        use std::fmt::Write;
+        // 48 bytes cover the brackets, labels and both numbers.
+        let bindings: usize = self
             .bindings
             .iter()
-            .map(|b| format!("{}={}", b.variable, b.key))
-            .collect();
-        format!(
-            "[t={}s] {} span={}s {}",
+            .map(|b| b.variable.len() + b.key.len() + 2)
+            .sum();
+        let mut line = String::with_capacity(48 + self.query_name.len() + bindings);
+        let _ = write!(
+            line,
+            "[t={}s] {} span={}s ",
             self.at.as_micros() / 1_000_000,
             self.query_name,
-            self.span.as_secs(),
-            vars.join(" ")
-        )
+            self.span.as_secs()
+        );
+        for (i, b) in self.bindings.iter().enumerate() {
+            if i > 0 {
+                line.push(' ');
+            }
+            line.push_str(&b.variable);
+            line.push('=');
+            line.push_str(&b.key);
+        }
+        line
     }
 }
 
@@ -592,6 +607,71 @@ mod tests {
         let line = ev.render();
         assert!(line.contains("demo"));
         assert!(line.contains("a=a1"));
+    }
+
+    /// Durable delivery logs hold `render()` lines, so the format is pinned
+    /// byte for byte: a log written before a change must read the same
+    /// after it.
+    #[test]
+    fn render_is_byte_stable_for_every_event_shape() {
+        let bound = |variable: &str, vertex: u32, key: &str| BoundVertex {
+            variable: variable.to_owned(),
+            vertex: VertexId(vertex),
+            key: key.to_owned(),
+        };
+        let sj = MatchEvent {
+            query: QueryId(2),
+            query_generation: 1,
+            query_name: "smurf".to_owned(),
+            at: Timestamp::from_micros(3_725_999_999),
+            span: Duration::from_micros(61_500_000),
+            bindings: vec![
+                bound("attacker", 0, "10.0.0.1"),
+                bound("amplifier", 1, "10.0.0.2"),
+                bound("victim", 2, "10.0.0.3"),
+            ],
+            edges: vec![EdgeId(0), EdgeId(1)],
+        };
+        assert_eq!(
+            sj.render(),
+            "[t=3725s] smurf span=61s attacker=10.0.0.1 amplifier=10.0.0.2 victim=10.0.0.3"
+        );
+
+        let mut g = DynamicGraph::unbounded();
+        let first = g.ingest(&EdgeEvent::new(
+            "h1",
+            "Host",
+            "h2",
+            "Host",
+            "login",
+            Timestamp::from_secs(3),
+        ));
+        let second = g.ingest(&EdgeEvent::new(
+            "h2",
+            "Host",
+            "h3",
+            "Host",
+            "login",
+            Timestamp::from_millis(7_500),
+        ));
+        let path = crate::rpq::RpqPathMatch {
+            source: first.src,
+            target: second.dst,
+            edges: vec![first.edge, second.edge],
+        };
+        let rpq = MatchEvent::from_path(QueryHandle::new(QueryId(0), 0), "lateral", &g, &path);
+        assert_eq!(rpq.render(), "[t=7s] lateral span=4s src=h1 dst=h3");
+
+        let bare = MatchEvent {
+            query: QueryId(0),
+            query_generation: 0,
+            query_name: "empty".to_owned(),
+            at: Timestamp::from_secs(-4),
+            span: Duration::ZERO,
+            bindings: Vec::new(),
+            edges: Vec::new(),
+        };
+        assert_eq!(bare.render(), "[t=-4s] empty span=0s ");
     }
 
     #[test]

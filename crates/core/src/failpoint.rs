@@ -6,15 +6,15 @@
 //! *produced on demand, deterministically*. This module compiles named
 //! failure sites into the hot paths:
 //!
-//! | site             | where it fires                                   |
-//! |------------------|--------------------------------------------------|
-//! | `ingest-front`   | entry of every engine ingest call                |
-//! | `shard-worker`   | shard worker, entry of each routed batch         |
-//! | `join-climb`     | shard worker, per routed match before the climb  |
-//! | `expiry-sweep`   | shard worker, before an expiry sweep             |
-//! | `sink-delivery`  | engine, before each subscriber sink delivery     |
-//! | `delivery-retry` | durable drain, before each delivery attempt      |
-//! | `delivery-ack`   | durable drain, between delivery and cursor advance |
+//! | site             | where it fires                                             |
+//! |------------------|------------------------------------------------------------|
+//! | `ingest-front`   | entry of every engine ingest call                          |
+//! | `shard-worker`   | shard worker, entry of each routed batch                   |
+//! | `join-climb`     | shard worker, per routed match before the climb            |
+//! | `expiry-sweep`   | shard worker, before an expiry sweep                       |
+//! | `sink-delivery`  | engine, before each subscriber sink delivery               |
+//! | `delivery-retry` | durable drain, before each delivery attempt (once per run) |
+//! | `delivery-ack`   | durable drain, between a run's delivery and cursor advance |
 //!
 //! Sites are indexed (`fire_at(site, index)`) so a test can target *shard 2
 //! of 4* or *subscription token 1* specifically. Each armed site fires

@@ -63,13 +63,16 @@ pub struct QueryMetrics {
     /// mixed-kind aggregates can still attribute accepts.
     #[serde(default)]
     pub rpq_accepts: u64,
-    /// Durable delivery attempts performed for this query's durable
-    /// subscriptions (every try counts: first attempts, retries and
-    /// probation probes). Zero when no durable subscribers are registered.
+    /// Match lines offered to the destination by this query's durable
+    /// subscriptions: a delivery attempt carrying a run of n pending lines
+    /// adds n, whether it is a first attempt, a retry or a probation probe,
+    /// and whether or not it succeeds (a health probe with nothing pending
+    /// adds one). Zero when no durable subscribers are registered.
     #[serde(default)]
     pub delivery_attempts: u64,
-    /// Delivery attempts that were retries or probation probes — performed
-    /// while the subscription was `Degraded` or `Quarantined`.
+    /// Match lines offered to the destination by retries or probation
+    /// probes — attempts made while the subscription was `Degraded` or
+    /// `Quarantined` (counted like [`QueryMetrics::delivery_attempts`]).
     #[serde(default)]
     pub delivery_retries: u64,
     /// Promotions of a durable subscription back to `Active` after a
@@ -177,12 +180,12 @@ pub struct EngineMetrics {
     /// search per distinct constant.
     #[serde(default)]
     pub lifted_dispatch_hits: u64,
-    /// Durable delivery attempts across every registered query (see
-    /// [`QueryMetrics::delivery_attempts`]).
+    /// Match lines offered to durable destinations across every registered
+    /// query (see [`QueryMetrics::delivery_attempts`]).
     #[serde(default)]
     pub delivery_attempts: u64,
-    /// Retry/probe attempts across every registered query (see
-    /// [`QueryMetrics::delivery_retries`]).
+    /// Match lines offered by retries and probes across every registered
+    /// query (see [`QueryMetrics::delivery_retries`]).
     #[serde(default)]
     pub delivery_retries: u64,
     /// Promotions back to `Active` across every registered query (see

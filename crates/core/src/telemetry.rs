@@ -564,7 +564,7 @@ pub struct DeliverySnapshot {
     pub routed: u64,
     /// Matches dropped on outbox overflow.
     pub dropped: u64,
-    /// Transport attempts (including retries).
+    /// Match lines offered to the destination (including retries).
     pub attempts: u64,
     /// Retried attempts.
     pub retries: u64,
@@ -726,7 +726,7 @@ impl TelemetrySnapshot {
                     d.query, d.token, d.status, d.lag
                 ));
             }
-            out.push_str("# HELP streamworks_delivery_attempts_total Transport attempts per durable subscription.\n");
+            out.push_str("# HELP streamworks_delivery_attempts_total Match lines offered to the destination per durable subscription.\n");
             out.push_str("# TYPE streamworks_delivery_attempts_total counter\n");
             for d in &self.delivery {
                 out.push_str(&format!(

@@ -864,6 +864,70 @@ fn ack_failures_are_exactly_once_for_owned_sinks_at_least_once_for_endpoints() {
     failpoint::clear();
 }
 
+/// The lines of a delivery log, in file order.
+fn log_lines(path: &str) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn a_lost_ack_after_a_log_file_run_keeps_every_line_exactly_once() {
+    let _guard = serial();
+    let events = stream(32, 4);
+    let batch = 16;
+    let expected = reference_multiset(&events, batch);
+    for shards in [1usize, 2] {
+        // The first run is acknowledged; the second reaches the file whole,
+        // then loses its acknowledgement.
+        failpoint::clear();
+        failpoint::configure("delivery-ack", 0, FailAction::Error, 1);
+        let path = scratch_log(&format!("ack_log_file_{shards}"));
+        let mut engine = engine_with(shards, ShardFailurePolicy::FailFast);
+        let handle = register_pair(&mut engine);
+        engine
+            .subscribe_durable(handle, SinkSpec::LogFile { path: path.clone() })
+            .unwrap();
+        let mut acknowledged = 0;
+        for (i, chunk) in events.chunks(batch).enumerate() {
+            engine.ingest(chunk).unwrap();
+            if i == 0 {
+                acknowledged = log_lines(&path).len() as u64;
+            }
+        }
+        assert_eq!(failpoint::hits("delivery-ack", 0), 2, "{shards} shards");
+        let pending = engine.metrics(handle).unwrap().cursor_lag;
+        assert!(
+            acknowledged > 0 && pending > 1,
+            "{shards} shards: both runs must carry lines, the failed one several \
+             (acknowledged {acknowledged}, pending {pending})"
+        );
+        assert_eq!(
+            log_lines(&path).len() as u64,
+            acknowledged + pending,
+            "{shards} shards: the unacknowledged run reached the file"
+        );
+        assert!(matches!(
+            engine_health(&engine),
+            SubscriptionHealth::Degraded { .. }
+        ));
+
+        // The retry reconnects, truncating the file back to the
+        // acknowledged prefix, and rewrites the run once.
+        assert_eq!(engine.flush_deliveries(), 0, "{shards} shards: drained");
+        assert_eq!(
+            sorted_lines(log_lines(&path)),
+            expected,
+            "{shards} shards: every match must be in the log exactly once"
+        );
+        assert_eq!(engine_health(&engine), SubscriptionHealth::Active);
+        let _ = std::fs::remove_file(&path);
+    }
+    failpoint::clear();
+}
+
 // --- Crash-point harness -------------------------------------------------
 
 /// Scratch path for a durable delivery log, unique per test and process.
@@ -965,6 +1029,15 @@ fn crash_at_every_site_restores_bit_identical_delivery_logs() {
             let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 drive_with_churn(&mut first, h, &events, batch, 4..8);
             }));
+            if site == "delivery-retry" || site == "delivery-ack" {
+                // Delivery sites fire once per run: the second half must
+                // still reach the armed (second) hit, or the crash never
+                // struck and the comparison below proves nothing.
+                assert!(
+                    failpoint::hits(site, 0) > 1,
+                    "{site}/{shards}: the armed delivery crash never struck"
+                );
+            }
             failpoint::clear();
             drop(first); // the "kill": whatever it wrote past the cursor stays on disk
 
